@@ -18,9 +18,12 @@ about (Table II / Figure 5) on a deterministic generated corpus:
   against a pre-built index; MB/s of *served* bytes, so the <= span
   decode overhead per seek is priced in.
 
-Every workload runs once per decode kernel (``--kernel pure|numpy|both``;
-default ``both``, or ``$REPRO_KERNEL`` when set), and results are
-written as JSON with the schema
+Every workload runs once per decode path (``--kernel pure|numpy|both``,
+default ``both``).  The decoders choose the path by buffer size alone,
+so each column pins :data:`repro.deflate.npkernel.MIN_PAYLOAD_BYTES`
+in-process: ``numpy`` sets it to 0 (every non-strict decode offers its
+blocks to the vectorized kernel), ``pure`` to a size no buffer reaches.
+Results are written as JSON with the schema
 
     {workload: {kernel: {"mb_per_s": float, "speedup_vs_baseline": float}}}
 
@@ -52,6 +55,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core.marker_inflate import marker_inflate  # noqa: E402
 from repro.core.pugz import pugz_decompress_payload  # noqa: E402
+from repro.deflate import npkernel  # noqa: E402
 from repro.deflate.inflate import inflate  # noqa: E402
 from repro.index.seekable import SeekableGzipReader  # noqa: E402
 from repro.index.zran import build_index  # noqa: E402
@@ -65,6 +69,8 @@ WORKLOADS = (
     "seek_cold",
     "seek_warm",
 )
+#: Size gate pinned for each column (see the module docstring).
+KERNEL_GATES = {"pure": 1 << 62, "numpy": 0}
 
 
 def make_corpus(n_bytes: int, seed: int = SEED) -> bytes:
@@ -96,20 +102,29 @@ def _time_best(fn, repeats: int) -> float:
 
 
 def run_workloads(corpus: bytes, repeats: int, kernel: str) -> dict[str, float]:
-    """Measure every workload under ``kernel``; MB/s of decompressed output."""
+    """Measure every workload on the ``kernel`` path; MB/s of decompressed output."""
+    gate = npkernel.MIN_PAYLOAD_BYTES
+    npkernel.MIN_PAYLOAD_BYTES = KERNEL_GATES[kernel]
+    try:
+        return _run_workloads(corpus, repeats)
+    finally:
+        npkernel.MIN_PAYLOAD_BYTES = gate
+
+
+def _run_workloads(corpus: bytes, repeats: int) -> dict[str, float]:
     payload = zlib.compress(corpus, 6)[2:-4]  # strip zlib framing -> raw DEFLATE
     n_out = len(corpus)
 
     results: dict[str, float] = {}
 
     def seq() -> None:
-        data = inflate(payload, kernel=kernel).data
+        data = inflate(payload).data
         assert data == corpus, "sequential inflate produced wrong bytes"
 
     results["sequential_inflate"] = n_out / 1e6 / _time_best(seq, repeats)
 
     def mk() -> None:
-        res = marker_inflate(payload, window=None, kernel=kernel)
+        res = marker_inflate(payload, window=None)
         assert res.total_output == n_out, "marker inflate wrong length"
 
     results["marker_inflate"] = n_out / 1e6 / _time_best(mk, repeats)
@@ -117,7 +132,6 @@ def run_workloads(corpus: bytes, repeats: int, kernel: str) -> dict[str, float]:
     def pz() -> None:
         data = pugz_decompress_payload(
             payload, 0, 8 * len(payload), n_chunks=4, executor="serial",
-            kernel=kernel,
         )
         assert data == corpus, "pugz produced wrong bytes"
 
@@ -126,7 +140,7 @@ def run_workloads(corpus: bytes, repeats: int, kernel: str) -> dict[str, float]:
     gz = _gzip_frame(corpus, payload)
 
     def cold() -> None:
-        reader = SeekableGzipReader(gz, n_chunks=4, kernel=kernel)
+        reader = SeekableGzipReader(gz, n_chunks=4)
         mid = n_out // 2
         assert reader.pread(mid, 4096) == corpus[mid : mid + 4096]
 
@@ -139,7 +153,7 @@ def run_workloads(corpus: bytes, repeats: int, kernel: str) -> dict[str, float]:
     offsets = [rng.randrange(0, n_out - 4096) for _ in range(64)]
 
     def warm() -> None:
-        reader = SeekableGzipReader(gz, index=idx, kernel=kernel)
+        reader = SeekableGzipReader(gz, index=idx)
         for off in offsets:
             assert reader.pread(off, 4096) == corpus[off : off + 4096]
 
@@ -174,10 +188,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--size-mb", type=float, default=DEFAULT_MB,
                     help="corpus size in MB (env BENCH_CORPUS_MB overrides default)")
     ap.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
-    ap.add_argument("--kernel", choices=("pure", "numpy", "both"),
-                    default=os.environ.get("REPRO_KERNEL") or "both",
-                    help="decode kernel(s) to measure "
-                         "(default: $REPRO_KERNEL, else both)")
+    ap.add_argument("--kernel", choices=("pure", "numpy", "both"), default="both",
+                    help="decode path(s) to measure (default: both)")
     ap.add_argument("--out", default="BENCH_pr10.json", help="result JSON path")
     ap.add_argument("--baseline", default=os.path.join(
         os.path.dirname(__file__), "BENCH_baseline.json"),

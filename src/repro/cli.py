@@ -41,7 +41,7 @@ def _cmd_decompress(args) -> int:
 
     data = _read(args.input)
     t0 = time.perf_counter()
-    out = gzip_unwrap(data, verify=not args.no_verify, kernel=args.kernel)
+    out = gzip_unwrap(data, verify=not args.no_verify)
     dt = time.perf_counter() - t0
     _write(args.output or "-", out)
     print(
@@ -76,7 +76,6 @@ def _cmd_pugz(args) -> int:
         deadline_s=args.deadline,
         max_retries=args.max_retries,
         budget=budget,
-        kernel=args.kernel,
     )
     dt = time.perf_counter() - t0
     _write(args.output or "-", out)
@@ -448,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("input")
     d.add_argument("-o", "--output")
     d.add_argument("--no-verify", action="store_true", help="skip CRC check")
-    d.add_argument("--kernel", choices=("pure", "numpy"), default=None,
-                   help="decode kernel (default: $REPRO_KERNEL or auto)")
     d.set_defaults(func=_cmd_decompress)
 
     z = sub.add_parser("pugz", help="two-pass parallel decompression")
@@ -473,9 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--max-output-bytes", type=int, default=None,
                    help="resource budget: abort with a structured error once "
                         "resident output would exceed this many bytes")
-    z.add_argument("--kernel", choices=("pure", "numpy"), default=None,
-                   help="decode kernel for both passes "
-                        "(default: $REPRO_KERNEL or auto)")
     z.add_argument("--max-expansion", type=float, default=None, metavar="RATIO",
                    help="resource budget: abort when output exceeds RATIO x "
                         "the compressed input consumed (zip-bomb guard)")

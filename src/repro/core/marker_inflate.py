@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core import marker
 from repro.deflate import constants as C
+from repro.deflate import npkernel
 from repro.deflate.bitio import BitReader
 from repro.deflate.inflate import BlockInfo, read_block_header
 from repro.errors import BitstreamError, HuffmanError, BackrefError, ResourceLimitError
@@ -95,7 +96,6 @@ def marker_inflate(
     stop_bit: BitOffset | None = None,
     stop_at_final: bool = True,
     budget=None,
-    kernel=None,
 ) -> MarkerInflateResult:
     """Decompress a DEFLATE stream into the marker symbol domain.
 
@@ -132,156 +132,18 @@ def marker_inflate(
         bytes, and the in-block match path refuses any copy that would
         push the symbol count past ``budget.marker_symbol_cap()``
         *before* copying (one int comparison per match).
-    kernel:
-        Decode-kernel selection (see :mod:`repro.perf.kernels`); the
-        vectorized kernel runs Algorithm 2 as token decode plus an
-        int32 symbol replay, falling back to this pure loop per block
-        (and for exact soft/hard limit truncation), so symbol streams,
-        errors, and bit positions are kernel-independent.
+
+    On a buffer of at least
+    :data:`repro.deflate.npkernel.MIN_PAYLOAD_BYTES` each compressed
+    block is first offered to the vectorized kernel (token decode plus
+    an int32 symbol replay); a block it declines is decoded by the pure
+    loop, so symbol streams, errors and bit positions do not depend on
+    the buffer size.  Output accumulates as int32 chunks, one per
+    block; sinks still receive plain lists.
     """
-    from repro.perf.kernels import resolve_kernel
-
-    spec = resolve_kernel(kernel)
-    if spec.use_vectorized(len(data)):
-        return _marker_inflate_numpy(
-            data, start_bit, window,
-            sink=sink, flush_symbols=flush_symbols,
-            max_output=max_output, max_blocks=max_blocks,
-            stop_bit=stop_bit, stop_at_final=stop_at_final, budget=budget,
-        )
-    reader = BitReader(data, start_bit)
-    out: list[int] = _seed_window(window)
-    hist0 = len(out)  # 32768
-    out_offset = -hist0  # output position of out[0]
-    emitted = 0  # symbols already flushed to sink
-    blocks: list[BlockInfo] = []
-    final_seen = False
-    truncated = False
-
-    lbase = C.LENGTH_BASE
-    lextra = C.LENGTH_EXTRA_BITS
-    dbase = C.DIST_BASE
-    dextra = C.DIST_EXTRA_BITS
-    sym_cap = budget.marker_symbol_cap() if budget is not None else _UNLIMITED_CAP
-
-    def _flush(final: bool = False) -> None:
-        nonlocal out, out_offset, emitted
-        if sink is None:
-            return
-        start_k = emitted - out_offset
-        chunk = out[start_k:]
-        if chunk:
-            sink(chunk, emitted)
-            emitted += len(chunk)
-        if not final and len(out) > C.WINDOW_SIZE:
-            drop = len(out) - C.WINDOW_SIZE
-            out = out[drop:]
-            out_offset += drop
-
-    while True:
-        total = out_offset + len(out)
-        if max_blocks is not None and len(blocks) >= max_blocks:
-            break
-        if max_output is not None and total >= max_output:
-            truncated = True
-            break
-        if stop_bit is not None and reader.tell_bits() >= stop_bit:
-            break
-        if reader.bits_remaining() < 3:
-            break
-
-        block_start_bit = reader.tell_bits()
-        header = read_block_header(reader)
-        out_start = out_offset + len(out)
-
-        if header.btype == C.BTYPE_STORED:
-            chunk = reader.read_bytes(header.stored_len)
-            out.extend(chunk)
-        else:
-            truncated = _decode_block_symbols(
-                reader, header, out,
-                lbase, lextra, dbase, dextra,
-                soft_limit=None if max_output is None else max_output - out_start,
-                hard_limit=sym_cap - out_start,
-            )
-
-        out_end = out_offset + len(out)
-        if budget is not None:
-            budget.check_block(
-                out_end,
-                reader.tell_bits() - start_bit,
-                stage="marker_inflate",
-                bit_offset=block_start_bit,
-                marker_buffer_bytes=4 * len(out),
-            )
-        blocks.append(
-            BlockInfo(
-                start_bit=block_start_bit,
-                end_bit=reader.tell_bits(),
-                out_start=out_start,
-                out_end=out_end,
-                btype=header.btype,
-                bfinal=header.bfinal,
-            )
-        )
-        if sink is not None and len(out) - (emitted - out_offset) >= flush_symbols:
-            _flush()
-        if truncated:
-            break
-        if header.bfinal:
-            final_seen = True
-            if stop_at_final:
-                break
-
-    total_output = out_offset + len(out)
-    window_arr = np.asarray(out[-C.WINDOW_SIZE:], dtype=np.int32)
-    if sink is not None:
-        _flush(final=True)
-        symbols = None
-    else:
-        symbols = np.asarray(out[hist0:], dtype=np.int32)
-    return MarkerInflateResult(
-        symbols=symbols,
-        end_bit=reader.tell_bits(),
-        final_seen=final_seen,
-        truncated=truncated,
-        total_output=total_output,
-        window=window_arr,
-        blocks=blocks,
+    kern = (
+        npkernel.StreamKernel(data) if len(data) >= npkernel.MIN_PAYLOAD_BYTES else None
     )
-
-
-def _marker_inflate_numpy(
-    data,
-    start_bit,
-    window,
-    *,
-    sink,
-    flush_symbols: int,
-    max_output: int | None,
-    max_blocks: int | None,
-    stop_bit,
-    stop_at_final: bool,
-    budget,
-) -> MarkerInflateResult:
-    """Vectorized-kernel twin of :func:`marker_inflate`'s main loop.
-
-    Compressed blocks run through the two-stage kernel: stage 1 token
-    decode (identical to the byte domain — the bitstream does not
-    change between domains), stage 2 an **int32** symbol replay seeded
-    with the current marker window, so markers survive match copies
-    untouched.  Three events drop a block to the pure loop for exact
-    reference behaviour: the kernel declining it (:class:`Fallback`),
-    the block crossing the soft ``max_output`` truncation point (the
-    pure loop stops mid-block at the exact token and reader position),
-    and the block crossing the budget's symbol cap (the pure loop
-    raises at the exact match copy).  Output accumulates as immutable
-    int32 chunks; sinks still receive plain lists.
-    """
-    import numpy as np  # noqa: F811 - local alias mirrors module import
-
-    from repro.perf import npkernel
-
     reader = BitReader(data, start_bit)
     win = np.asarray(_seed_window(window), dtype=np.int32)
     blocks: list[BlockInfo] = []
@@ -289,15 +151,12 @@ def _marker_inflate_numpy(
     truncated = False
     sym_cap = budget.marker_symbol_cap() if budget is not None else _UNLIMITED_CAP
 
-    kern = npkernel.StreamKernel(data)
     chunks: list[np.ndarray] = []  # all produced symbols (sink=None) or pending flush
     produced = 0
-    emitted = 0
+    emitted = 0  # symbols already flushed to sink
 
-    def _flush_np(final: bool = False) -> None:
+    def _flush() -> None:
         nonlocal chunks, emitted
-        if sink is None:
-            return
         if chunks:
             pending = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
             chunks = []
@@ -325,20 +184,12 @@ def _marker_inflate_numpy(
         else:
             soft_rem = None if max_output is None else max_output - out_start
             hard_rem = sym_cap - out_start
-            try:
-                offs, vals, _fp, end_bit = kern.decode_block(
-                    reader.tell_bits(), header.litlen, header.dist,
-                    max_out=min(
-                        hard_rem,
-                        _UNLIMITED_CAP if soft_rem is None
-                        else soft_rem + C.MAX_MATCH,
-                    ),
+            block_sym = None
+            if kern is not None:
+                block_sym = _replay_block_vectorized(
+                    kern, reader, header, win, soft_rem, hard_rem
                 )
-                total = int(np.where(offs > 0, vals, 1).sum())
-                if (soft_rem is not None and total >= soft_rem) or total > hard_rem:
-                    raise npkernel.Fallback("block crosses an output limit")
-                block_sym = npkernel.replay_symbols(offs, vals, win)
-            except npkernel.Fallback:
+            if block_sym is None:
                 local = win.tolist()
                 lprefix = len(local)
                 truncated = _decode_block_symbols(
@@ -349,8 +200,6 @@ def _marker_inflate_numpy(
                     hard_limit=hard_rem,
                 )
                 block_sym = np.asarray(local[lprefix:], dtype=np.int32)
-            else:
-                reader.seek_bits(BitOffset(end_bit))
 
         chunks.append(block_sym)
         produced += len(block_sym)
@@ -379,7 +228,7 @@ def _marker_inflate_numpy(
             )
         )
         if sink is not None and produced - emitted >= flush_symbols:
-            _flush_np()
+            _flush()
         if truncated:
             break
         if header.bfinal:
@@ -388,13 +237,12 @@ def _marker_inflate_numpy(
                 break
 
     if sink is not None:
-        _flush_np(final=True)
+        _flush()
         symbols = None
+    elif chunks:
+        symbols = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     else:
-        if chunks:
-            symbols = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        else:
-            symbols = np.empty(0, dtype=np.int32)
+        symbols = np.empty(0, dtype=np.int32)
     return MarkerInflateResult(
         symbols=symbols,
         end_bit=reader.tell_bits(),
@@ -404,6 +252,40 @@ def _marker_inflate_numpy(
         window=win,
         blocks=blocks,
     )
+
+
+def _replay_block_vectorized(
+    kern, reader: BitReader, header, win: np.ndarray, soft_rem: int | None, hard_rem: int
+) -> np.ndarray | None:
+    """Decode one compressed block with the vectorized kernel.
+
+    Stage 1 token decode is the byte domain's (the bitstream does not
+    change between domains); stage 2 is an **int32** symbol replay
+    seeded with the marker window ``win``, so markers survive match
+    copies untouched.  Returns ``None``, with ``reader`` untouched, for
+    the pure loop to decode the block instead when the kernel declines
+    it (:class:`~repro.deflate.npkernel.Fallback`), when the block
+    crosses the soft truncation point ``soft_rem`` (the pure loop stops
+    mid-block at the exact token and reader position), or when it
+    crosses the budget's ``hard_rem`` symbols (the pure loop raises at
+    the exact match copy).
+    """
+    try:
+        offs, vals, _fp, end_bit = kern.decode_block(
+            reader.tell_bits(), header.litlen, header.dist,
+            max_out=min(
+                hard_rem,
+                _UNLIMITED_CAP if soft_rem is None else soft_rem + C.MAX_MATCH,
+            ),
+        )
+        total = int(np.where(offs > 0, vals, 1).sum())
+        if (soft_rem is not None and total >= soft_rem) or total > hard_rem:
+            return None
+        block_sym = npkernel.replay_symbols(offs, vals, win)
+    except npkernel.Fallback:
+        return None
+    reader.seek_bits(BitOffset(end_bit))
+    return block_sym
 
 
 def _decode_block_symbols(

@@ -39,7 +39,6 @@ def pugz_build_index(
     gz_data,
     n_chunks: int = 8,
     executor: Executor | str = "serial",
-    kernel: str | None = None,
 ) -> tuple[bytes, GzipIndex]:
     """Decompress in parallel and return ``(data, index)`` together.
 
@@ -83,7 +82,6 @@ def pugz_build_index(
             n_chunks,
             executor,
             report=report,
-            kernel=kernel,
         )
         rel = 0
         for chunk, size in zip(report.chunks, report.chunk_output_sizes):

@@ -238,14 +238,13 @@ def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, int]:
     A failure is annotated with the chunk index before propagating, so
     captured outcomes name the chunk that died.
     """
-    data, chunk_start, chunk_stop, index, budget, kernel = args
+    data, chunk_start, chunk_stop, index, budget = args
     try:
         if index == 0 and chunk_stop is None:
             # Sole chunk with a fully known (empty) context: decode in the
             # byte domain, which is faster and yields a concrete window.
             result = inflate(
                 data, start_bit=chunk_start, stop_at_final=True, budget=budget,
-                kernel=kernel,
             )
             symbols = np.frombuffer(result.data, dtype=np.uint8).astype(np.int32)
             window_syms = np.asarray(
@@ -254,7 +253,7 @@ def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, int]:
             return 0, symbols, window_syms, result.end_bit, result.final_seen, len(result.blocks)
         result = marker_inflate(
             data, start_bit=chunk_start, window=None, stop_bit=chunk_stop,
-            budget=budget, kernel=kernel,
+            budget=budget,
         )
         return (
             index,
@@ -277,7 +276,6 @@ def _pass2_chunk(args) -> tuple[bytes, int]:
 
 def _decode_chunk_prefix(
     data, start_bit: BitOffset, stop_bit: BitOffset | None, budget=None,
-    kernel=None,
 ):
     """Marker-decode block by block from ``start_bit`` until the first
     failure (or the chunk boundary / BFINAL block).
@@ -300,7 +298,7 @@ def _decode_chunk_prefix(
         try:
             res = marker_inflate(
                 data, start_bit=bit, window=window, max_blocks=1, stop_bit=stop_bit,
-                budget=budget, kernel=kernel,
+                budget=budget,
             )
         except ReproError:
             break
@@ -335,7 +333,6 @@ def _salvage_chunk(
     max_resync_search_bits: int | None,
     err: BaseException,
     budget=None,
-    kernel=None,
 ) -> tuple[list[_Segment], list[PugzHole]]:
     """Best-effort decode of a chunk that failed in pass 1.
 
@@ -358,7 +355,7 @@ def _salvage_chunk(
             holes.append(PugzHole(chunk.index, bit, region_end, str(err)))
             break
         symbols, window, end, final = _decode_chunk_prefix(
-            data, bit, chunk.stop_bit, budget, kernel
+            data, bit, chunk.stop_bit, budget
         )
         total_symbols += len(symbols)
         if len(symbols):
@@ -451,7 +448,6 @@ def pugz_decompress_payload(
     placeholder: int = HOLE_BYTE,
     budget=None,
     supervision: SupervisionPolicy | None = None,
-    kernel: str | None = None,
 ) -> bytes:
     """Two-pass parallel decompression of one raw DEFLATE payload.
 
@@ -474,13 +470,6 @@ def pugz_decompress_payload(
     re-decoded serially in-process — an exact, merely slower result —
     before the lossy salvage rungs are considered; the rung used is
     recorded per chunk in the report's ``chunk_details``.
-
-    ``kernel`` selects the decode kernel by *name* (``"pure"`` /
-    ``"numpy"``; ``None`` = environment/auto, see
-    :mod:`repro.perf.kernels`) in every rung of both passes — it rides
-    the job tuples into workers, so it must stay a picklable string for
-    the process executor.  Kernels are output-identical; this only
-    moves the speed/robustness trade-off.
     """
     if on_error not in ("raise", "recover"):
         raise ValueError(f"on_error must be 'raise' or 'recover', got {on_error!r}")
@@ -505,7 +494,7 @@ def pugz_decompress_payload(
     jobs = []
     for c in chunks:
         stop = c.stop_bit if c.stop_bit is not None else None
-        jobs.append((data, c.start_bit, stop, c.index, budget, kernel))
+        jobs.append((data, c.start_bit, stop, c.index, budget))
     outcomes = executor.map_outcomes(_pass1_chunk, jobs, supervision)
 
     per_chunk: list[tuple[list[_Segment], list[PugzHole], str]] = []
@@ -522,7 +511,7 @@ def pugz_decompress_payload(
             # applies in both error modes.
             try:
                 value = _pass1_chunk(
-                    (data, c.start_bit, c.stop_bit, c.index, budget, kernel)
+                    (data, c.start_bit, c.stop_bit, c.index, budget)
                 )
                 degraded = "serial"
                 err = None
@@ -569,7 +558,7 @@ def pugz_decompress_payload(
         # stays undecodable becomes an explicit hole.
         segments, holes = _salvage_chunk(
             data, c, region_end, confirm_blocks, max_resync_search_bits, err,
-            budget, kernel,
+            budget,
         )
         total_blocks += sum(1 for s in segments if len(s.symbols))
         status = "salvaged" if any(len(s.symbols) for s in segments) else "lost"
@@ -677,7 +666,6 @@ def pugz_decompress(
     max_retries: int = 0,
     budget=None,
     supervision: SupervisionPolicy | None = None,
-    kernel: str | None = None,
 ):
     """Parallel decompression of a gzip file (the paper's ``pugz``).
 
@@ -721,11 +709,6 @@ def pugz_decompress(
         A :class:`~repro.robustness.limits.ResourceBudget` bounding
         each chunk's resident output (zip-bomb defense); exceeding it
         raises :class:`~repro.errors.ResourceLimitError`.
-    kernel:
-        Decode-kernel name (``"pure"`` / ``"numpy"``; ``None`` =
-        environment/auto selection, see :mod:`repro.perf.kernels`).
-        Applies to every chunk in both passes and to all recovery
-        rungs; output is kernel-independent.
     """
     if on_error not in ("raise", "recover"):
         raise ValueError(f"on_error must be 'raise' or 'recover', got {on_error!r}")
@@ -775,7 +758,6 @@ def pugz_decompress(
             max_resync_search_bits=max_resync_search_bits,
             budget=budget,
             supervision=supervision,
-            kernel=kernel,
         )
         payload_end = (report.end_bit + 7) // 8
         if n - payload_end < 8:

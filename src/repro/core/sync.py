@@ -38,8 +38,12 @@ def prescreen(data: bytes, bit: BitOffset) -> bool:
     direct integer arithmetic (the Python analogue of pugz's branch
     hints): BFINAL must be 0; BTYPE must be valid; a stored block must
     satisfy LEN == ~NLEN; a dynamic block's code-length code must not
-    be over- or under-subscribed.  Rejects ~97 % of random bit offsets
-    in ~1 microsecond; survivors go to the full probe.
+    be over- or under-subscribed.  Survivors go to the full probe.
+
+    Measured on FASTQ-like DEFLATE payloads (zlib level 6), about 12-13 %
+    of bit offsets pass, i.e. it rejects ~87-88 %, at ~1 microsecond
+    per offset: perfbench's ``sync.prescreen_pass_pct`` (strict probes
+    over candidates tried) reads ~12 % on the ``access`` workload.
     """
     byte = bit >> 3
     # 18 bytes cover BFINAL+BTYPE+HLIT/HDIST/HCLEN+19 x 3-bit lengths.

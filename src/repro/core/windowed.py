@@ -49,15 +49,12 @@ def iter_pugz(
     executor: Executor | str = "serial",
     confirm_blocks: int = 5,
     report: WindowedReport | None = None,
-    kernel: str | None = None,
 ):
     """Generator form: yield decompressed chunks in stream order.
 
     Single-member files only (multi-member files are already blocked;
     use :func:`repro.core.pugz.pugz_decompress`).  Pass a
-    :class:`WindowedReport` to collect instrumentation.  ``kernel``
-    selects the decode kernel by name (must stay picklable for process
-    executors); ``None`` defers to ``$REPRO_KERNEL`` or the auto gate.
+    :class:`WindowedReport` to collect instrumentation.
     """
     if isinstance(executor, str):
         executor = make_executor(executor, stripe_chunks)
@@ -78,8 +75,7 @@ def iter_pugz(
 
     for stripe_start in range(0, len(chunks), stripe_chunks):
         stripe = chunks[stripe_start : stripe_start + stripe_chunks]
-        jobs = [(gz_data, c.start_bit, c.stop_bit, c.index, None, kernel)
-                for c in stripe]
+        jobs = [(gz_data, c.start_bit, c.stop_bit, c.index, None) for c in stripe]
         results = executor.map(_pass1_chunk, jobs)
         results.sort(key=lambda r: r[0])
         symbol_arrays = [r[1] for r in results]
@@ -126,7 +122,6 @@ def pugz_decompress_windowed(
     stripe_chunks: int = 4,
     executor: Executor | str = "serial",
     confirm_blocks: int = 5,
-    kernel: str | None = None,
 ) -> WindowedReport:
     """Decompress a gzip file stripe by stripe, streaming to ``sink``.
 
@@ -142,7 +137,6 @@ def pugz_decompress_windowed(
         executor=executor,
         confirm_blocks=confirm_blocks,
         report=report,
-        kernel=kernel,
     ):
         sink(piece)
     return report

@@ -170,15 +170,6 @@ LENGTH_TO_CODE.setflags(write=False)
 DIST_TO_CODE = _build_dist_to_code()
 DIST_TO_CODE.setflags(write=False)
 
-# NumPy views of the decode-side tables (int32, indexed by code - 257 /
-# dist code), used in the inflate hot loop.
-LENGTH_BASE_NP = np.asarray(LENGTH_BASE, dtype=np.int32)
-LENGTH_EXTRA_NP = np.asarray(LENGTH_EXTRA_BITS, dtype=np.int32)
-DIST_BASE_NP = np.asarray(DIST_BASE, dtype=np.int32)
-DIST_EXTRA_NP = np.asarray(DIST_EXTRA_BITS, dtype=np.int32)
-for _arr in (LENGTH_BASE_NP, LENGTH_EXTRA_NP, DIST_BASE_NP, DIST_EXTRA_NP):
-    _arr.setflags(write=False)
-
 # ---------------------------------------------------------------------------
 # Strict (probing) decode limits — Appendix X-A of the paper
 # ---------------------------------------------------------------------------

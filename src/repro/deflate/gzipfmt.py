@@ -212,18 +212,17 @@ def split_members(data: bytes) -> list[GzipMember]:
     return members
 
 
-def gzip_unwrap(data: bytes, verify: bool = True, kernel=None) -> bytes:
+def gzip_unwrap(data: bytes, verify: bool = True) -> bytes:
     """Decompress a gzip file (all members) with our own inflate.
 
     With ``verify=True`` the CRC32 and ISIZE trailer fields of every
-    member are checked.  ``kernel`` selects the decode kernel (see
-    :mod:`repro.perf.kernels`); output is kernel-independent.
+    member are checked.
     """
     out = bytearray()
     offset = 0
     while offset < len(data):
         payload_start, *_ = parse_gzip_header(data, offset)
-        result = inflate(data, start_bit=8 * payload_start, kernel=kernel)
+        result = inflate(data, start_bit=8 * payload_start)
         if not result.final_seen:
             raise GzipFormatError(
             "member payload ended without a final block",

@@ -122,7 +122,7 @@ class HuffmanDecoder:
     def __init__(self, lengths, allow_incomplete: bool = False) -> None:
         lengths = list(lengths)
         #: Lazily-built lookup tables of the vectorized kernel
-        #: (:mod:`repro.perf.npkernel`); decoders built via
+        #: (:mod:`repro.deflate.npkernel`); decoders built via
         #: :func:`cached_decoder` are shared, so the tables amortize
         #: across every stream reusing the same code lengths.
         self.np_luts = None

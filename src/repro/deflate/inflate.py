@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.deflate import constants as C
+from repro.deflate import npkernel
 from repro.deflate.bitio import BitReader
 from repro.deflate.huffman import HuffmanDecoder, cached_decoder
 from repro.deflate.tokens import TokenStream
@@ -245,7 +248,6 @@ def inflate(
     max_output: int | None = None,
     stop_at_final: bool = True,
     budget=None,
-    kernel=None,
 ) -> InflateResult:
     """Decompress a raw DEFLATE stream.
 
@@ -281,15 +283,13 @@ def inflate(
         copying — so a zip bomb errors out with resident output still
         under the cap (worst-case overshoot is one literal-only block,
         itself bounded by 8x the compressed input).
-    kernel:
-        Decode-kernel selection (see :mod:`repro.perf.kernels`):
-        ``None`` (argument > ``REPRO_KERNEL`` env > auto), a kernel
-        name (``"pure"`` / ``"numpy"`` / ``"auto"``), or a resolved
-        :class:`~repro.perf.kernels.KernelSpec`.  The vectorized kernel
-        is only ever an *optimization*: any block it declines is
-        re-decoded by the pure loop, and strict (probe) decodes always
-        run pure, so outputs, errors, and bit positions are identical
-        across kernels (pinned by the differential fuzz suite).
+
+    A non-strict decode of a buffer of at least
+    :data:`repro.deflate.npkernel.MIN_PAYLOAD_BYTES` first offers each
+    compressed block to the vectorized kernel; a block it declines is
+    decoded by the pure loop, so outputs, errors and bit positions do
+    not depend on the buffer size (pinned by the differential fuzz
+    suite).
 
     Returns
     -------
@@ -299,16 +299,11 @@ def inflate(
     """
     if len(window) > C.WINDOW_SIZE:
         window = window[-C.WINDOW_SIZE:]
-    # Late import: repro.perf pulls in profiling helpers that import
-    # this module back (cycle is only at import time, not at call time).
-    from repro.perf.kernels import resolve_kernel
-
-    spec = resolve_kernel(kernel)
-    if spec.use_vectorized(len(data)) and not strict:
-        return _inflate_numpy(
-            data, start_bit, window, capture_tokens,
-            max_blocks, max_output, stop_at_final, budget,
-        )
+    # Strict probes are checked first so they never build a kernel.
+    kern = (
+        None if strict or len(data) < npkernel.MIN_PAYLOAD_BYTES
+        else npkernel.StreamKernel(data)
+    )
     reader = BitReader(data, start_bit)
     out = bytearray(window)
     prefix = len(out)
@@ -358,8 +353,14 @@ def inflate(
                     )
             out += chunk
             if tokens is not None:
-                for b in chunk:
-                    tokens.add_literal(b)
+                tokens.add_columnar(
+                    np.zeros(len(chunk), np.int32),
+                    np.frombuffer(chunk, np.uint8).astype(np.int32),
+                )
+        elif kern is not None and _decode_block_vectorized(
+            kern, reader, header, out, tokens, hard_cap, budget
+        ):
+            pass
         elif strict or tokens is not None:
             _decode_huffman_block(
                 reader, header, out, tokens, ascii_mask, lbase, lextra, dbase, dextra,
@@ -406,7 +407,7 @@ def inflate(
                 break
 
     return InflateResult(
-        data=bytes(out[prefix:]),
+        data=bytes(memoryview(out)[prefix:]),
         end_bit=reader.tell_bits(),
         final_seen=final_seen,
         blocks=blocks,
@@ -415,137 +416,43 @@ def inflate(
     )
 
 
-def _inflate_numpy(
-    data,
-    start_bit,
-    window: bytes,
-    capture_tokens: bool,
-    max_blocks: int | None,
-    max_output: int | None,
-    stop_at_final: bool,
+def _decode_block_vectorized(
+    kern,
+    reader: BitReader,
+    header: BlockHeader,
+    out: bytearray,
+    tokens: TokenStream | None,
+    hard_cap: int,
     budget,
-) -> InflateResult:
-    """Vectorized-kernel driver with per-block pure fallback.
+) -> bool:
+    """Decode one compressed block with the vectorized kernel.
 
-    Mirrors :func:`inflate`'s non-strict loop exactly, but compressed
-    blocks go through :class:`repro.perf.npkernel.StreamKernel` (token
-    decode) plus :func:`repro.perf.npkernel.replay_bytes` (vectorized
-    LZ77 replay seeded with the rolling 32 KiB tail).  Any block the
-    kernel declines — and any block whose output would cross the
-    resource budget's hard cap — is re-decoded from its header by the
-    same pure loops :func:`inflate` uses, reproducing the reference
-    error class and bit offset; DEFLATE distances never exceed the
-    32 KiB tail, so the fallback sees exactly the history the pure
-    path would.  Per-block replay keeps chains shallow and memory
-    bounded: output lives as immutable chunks, not one growing
-    bytearray.
+    Stage 1 (:meth:`~repro.deflate.npkernel.StreamKernel.decode_block`)
+    yields the block's tokens, stage 2
+    (:func:`~repro.deflate.npkernel.replay_bytes`) replays them against
+    the last 32 KiB of ``out`` — DEFLATE distances never reach further.
+    Returns ``False`` with ``reader``, ``out`` and ``tokens`` untouched
+    when the kernel declines the block or its output would cross the
+    budget's ``hard_cap``; the pure loop then reproduces the reference
+    error class and bit offset, or the block's exact bytes.
     """
-    import numpy as np
-
-    from repro.perf import npkernel
-
-    reader = BitReader(data, start_bit)
-    prefix = len(window)
-    tokens = TokenStream() if capture_tokens else None
-    blocks: list[BlockInfo] = []
-    final_seen = False
-    hard_cap = prefix + (budget.output_cap() if budget is not None else _UNLIMITED_CAP)
-
-    kern = npkernel.StreamKernel(data)
-    parts: list[bytes] = []
-    tail = window
-    produced = 0
-
-    while True:
-        if max_blocks is not None and len(blocks) >= max_blocks:
-            break
-        if max_output is not None and produced >= max_output:
-            break
-        if reader.bits_remaining() < 3:
-            break
-        block_start_bit = reader.tell_bits()
-        header = read_block_header(reader, strict=False)
-        out_start = produced
-
-        if header.btype == C.BTYPE_STORED:
-            chunk = reader.read_bytes(header.stored_len)
-            parts.append(chunk)
-            produced += len(chunk)
-            tail = (tail + chunk)[-C.WINDOW_SIZE:]
-            if tokens is not None and chunk:
-                tokens.add_columnar(
-                    np.zeros(len(chunk), np.int32),
-                    np.frombuffer(chunk, np.uint8).astype(np.int32),
-                )
-        else:
-            try:
-                offs, vals, _fp, end_bit = kern.decode_block(
-                    reader.tell_bits(), header.litlen, header.dist,
-                    max_out=hard_cap - prefix - produced,
-                )
-                if budget is not None:
-                    total = int(np.where(offs > 0, vals, 1).sum())
-                    if prefix + produced + total > hard_cap:
-                        # Let the pure loop raise (match copy) or
-                        # complete into the block-boundary check
-                        # (literal growth) exactly as without a kernel.
-                        raise npkernel.Fallback("block crosses the output cap")
-                block_out = npkernel.replay_bytes(offs, vals, tail)
-            except npkernel.Fallback:
-                # Pure re-decode of this one block, seeded with the
-                # tail: reproduces the reference error (class and bit
-                # offset) if the block is truly bad, or its exact
-                # bytes if the kernel merely declined it.
-                body = bytearray(tail)  # lint: allow-unbudgeted-alloc(tail is trimmed to the 32 KiB window every iteration)
-                lprefix = len(body)
-                local_cap = hard_cap - prefix - produced + lprefix
-                if tokens is not None:
-                    _decode_huffman_block(
-                        reader, header, body, tokens, None,
-                        C.LENGTH_BASE, C.LENGTH_EXTRA_BITS,
-                        C.DIST_BASE, C.DIST_EXTRA_BITS, strict=False,
-                    )
-                else:
-                    _decode_huffman_block_fast(reader, header, body, local_cap)
-                block_out = bytes(body[lprefix:])  # lint: allow-unbudgeted-alloc(block growth is capped by local_cap inside the block decoders)
-            else:
-                reader.seek_bits(BitOffset(end_bit))
-                if tokens is not None:
-                    tokens.add_columnar(offs, vals)
-            parts.append(block_out)
-            produced += len(block_out)
-            tail = (tail + block_out)[-C.WINDOW_SIZE:]
-
-        if budget is not None:
-            budget.check_block(
-                produced,
-                reader.tell_bits() - start_bit,
-                stage="inflate",
-                bit_offset=block_start_bit,
-            )
-        blocks.append(
-            BlockInfo(
-                start_bit=block_start_bit,
-                end_bit=reader.tell_bits(),
-                out_start=out_start,
-                out_end=produced,
-                btype=header.btype,
-                bfinal=header.bfinal,
-            )
+    try:
+        offs, vals, _fp, end_bit = kern.decode_block(
+            reader.tell_bits(), header.litlen, header.dist,
+            max_out=hard_cap - len(out),
         )
-        if header.bfinal:
-            final_seen = True
-            if stop_at_final:
-                break
-
-    return InflateResult(
-        data=b"".join(parts),
-        end_bit=reader.tell_bits(),
-        final_seen=final_seen,
-        blocks=blocks,
-        tokens=tokens,
-        hit_final_probe=False,
-    )
+        if budget is not None and len(out) + int(np.where(offs > 0, vals, 1).sum()) > hard_cap:
+            # The pure loop raises at the exact match copy (or grows
+            # literals into the block-boundary check).
+            return False
+        block_out = npkernel.replay_bytes(offs, vals, out[-C.WINDOW_SIZE:])
+    except npkernel.Fallback:
+        return False
+    out += block_out
+    reader.seek_bits(BitOffset(end_bit))
+    if tokens is not None:
+        tokens.add_columnar(offs, vals)
+    return True
 
 
 def _decode_huffman_block(

@@ -130,8 +130,8 @@ class SeekableGzipReader(io.RawIOBase):
         two-pass decompressor — the first touch *is* the index build;
         ``"sequential"`` uses the ref-[11] sequential build with exact
         ``span`` spacing.
-    n_chunks / executor / kernel:
-        Cold-start pugz parameters (parallelism and decode kernel).
+    n_chunks / executor:
+        Cold-start pugz parameters (parallelism).
     verify:
         BGZF backend: verify per-block CRC32/ISIZE on decode.
     """
@@ -147,7 +147,6 @@ class SeekableGzipReader(io.RawIOBase):
         cold_start: str = "pugz",
         n_chunks: int = 8,
         executor: str = "serial",
-        kernel: str | None = None,
         verify: bool = True,
     ) -> None:
         super().__init__()
@@ -161,7 +160,6 @@ class SeekableGzipReader(io.RawIOBase):
         self._cold_start = cold_start
         self._n_chunks = n_chunks
         self._executor = executor
-        self._kernel = kernel
         self._verify = verify
         self._pos = 0
         self._bgzf = None
@@ -204,7 +202,6 @@ class SeekableGzipReader(io.RawIOBase):
                     self._src,
                     n_chunks=self._n_chunks,
                     executor=self._executor,
-                    kernel=self._kernel,
                 )
             else:
                 self._index = build_index(self._src, span=self._span)
@@ -248,9 +245,7 @@ class SeekableGzipReader(io.RawIOBase):
         idx = self._ensure_index()
         if uoffset >= idx.usize:
             return b""
-        return idx.read_at(
-            self._src, uoffset, size, stats=self.stats, kernel=self._kernel
-        )
+        return idx.read_at(self._src, uoffset, size, stats=self.stats)
 
     # -- io.RawIOBase interface ---------------------------------------
 

@@ -173,7 +173,7 @@ class GzipIndex:
         return (self.checkpoints[j].bit_offset + 7) >> 3
 
     def _decode_from(
-        self, src: ByteSource, index: int, need: int, stats=None, kernel=None
+        self, src: ByteSource, index: int, need: int, stats=None
     ) -> bytes:
         """Decode ``need`` output bytes forward from checkpoint ``index``,
         reading only the compressed range that decode requires."""
@@ -188,7 +188,6 @@ class GzipIndex:
                     start_bit=cp.intra_byte_bit,
                     window=cp.window,
                     max_output=need,
-                    kernel=kernel,
                 )
                 break
             except DeflateError:
@@ -206,7 +205,7 @@ class GzipIndex:
         return result.data
 
     def read_at(
-        self, source, uoffset: ByteOffset, size: int, *, stats=None, kernel=None
+        self, source, uoffset: ByteOffset, size: int, *, stats=None
     ) -> bytes:
         """Extract ``size`` uncompressed bytes starting at ``uoffset``.
 
@@ -235,7 +234,7 @@ class GzipIndex:
             i = self.nearest_index(pos)
             cp = self.checkpoints[i]
             skip = pos - cp.uoffset
-            decoded = self._decode_from(src, i, skip + remaining, stats, kernel)
+            decoded = self._decode_from(src, i, skip + remaining, stats)
             take = decoded[skip : skip + remaining]
             if not take:
                 # Decoding from the best checkpoint could not reach

@@ -9,9 +9,12 @@ normalising the three ways callers hold a compressed stream:
 * ``bytes`` / ``bytearray`` / ``memoryview`` — zero-copy slicing
   (keeps every historical ``gz_data: bytes`` signature working);
 * a filesystem path (``str`` / ``os.PathLike``) — opened lazily, reads
-  are ``seek`` + ``read`` of exactly the requested range;
+  are ``os.pread`` of exactly the requested range, which moves no
+  shared file position, so concurrent threads need no lock;
 * a seekable binary file object — used in place, never closed unless
-  ownership was transferred.
+  ownership was transferred; its ``seek`` + ``read`` pairs run under a
+  per-source lock, since another thread's seek would otherwise move
+  the handle between them.
 
 Reads past EOF return short (possibly empty) results, like POSIX
 ``pread`` — range validation is the caller's job, because only the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import io
 import os
+import threading
 
 from repro.errors import RandomAccessError
 
@@ -43,7 +47,9 @@ class ByteSource:
     def __init__(self, source, owns_file: bool = False) -> None:
         self._data: bytes | None = None
         self._fh = None
+        self._fd: int | None = None
         self._path: str | None = None
+        self._lock = threading.Lock()
         self._owns = owns_file
         self._size: int | None = None
         if isinstance(source, (bytes, bytearray, memoryview)):
@@ -69,11 +75,16 @@ class ByteSource:
 
     # -- internals ----------------------------------------------------
 
+    def _descriptor(self) -> int:
+        """The path source's descriptor, opened on first use."""
+        with self._lock:
+            if self._fd is None:
+                self._fd = os.open(self._path, os.O_RDONLY)
+            return self._fd
+
     def _file(self):
         if self._fh is None:
-            if self._path is None:
-                raise RandomAccessError("byte source is closed", stage="io")
-            self._fh = open(self._path, "rb")
+            raise RandomAccessError("byte source is closed", stage="io")
         return self._fh
 
     # -- ranged access ------------------------------------------------
@@ -94,16 +105,32 @@ class ByteSource:
             )
         if self._data is not None:
             return self._data[offset : offset + size]
-        fh = self._file()
-        fh.seek(offset)
-        return fh.read(size)
+        if self._path is not None:
+            fd = self._descriptor()
+            parts = []
+            # A single pread may return short before EOF (Linux caps
+            # one read at ~2 GiB); an empty read is EOF.
+            while size > 0:
+                got = os.pread(fd, size, offset)
+                if not got:
+                    break
+                parts.append(got)
+                offset += len(got)
+                size -= len(got)
+            return b"".join(parts)
+        with self._lock:
+            fh = self._file()
+            fh.seek(offset)
+            return fh.read(size)
 
     def size(self) -> int:
         """Total byte length of the underlying source (cached)."""
         if self._size is None:
-            fh = self._file()
-            pos = fh.seek(0, io.SEEK_END)
-            self._size = pos
+            if self._path is not None:
+                self._size = os.fstat(self._descriptor()).st_size
+            else:
+                with self._lock:
+                    self._size = self._file().seek(0, io.SEEK_END)
         return self._size
 
     def read_all(self) -> bytes:
@@ -124,10 +151,15 @@ class ByteSource:
         """Close the owned file handle, if any (idempotent).
 
         A borrowed file object (``owns_file=False``) is left open and
-        usable — closing it is its owner's job."""
-        if self._fh is not None and self._owns:
-            self._fh.close()
-            self._fh = None
+        usable — closing it is its owner's job.  A path source reopens
+        on its next read."""
+        with self._lock:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
+            if self._fh is not None and self._owns:
+                self._fh.close()
+                self._fh = None
 
     def __enter__(self) -> "ByteSource":
         return self

@@ -16,11 +16,15 @@ Byte output must be identical across all four, and the final bit
 positions of the three in-repo decoders must agree exactly.
 
 PR 9 widens the matrix with the two-stage vectorized kernel: every
-seeded stream additionally decodes under ``kernel="pure"`` and
-``kernel="numpy"`` in *both* domains (byte and marker), and the pair
-must agree on output bytes/symbols, final bit position, block table,
-captured tokens, and the marker window — including through the
-recovery paths (pugz salvage around deliberately smashed blocks).
+seeded stream additionally decodes through the pure block loops and
+through the vectorized kernel in *both* domains (byte and marker), and
+the pair must agree on output bytes/symbols, final bit position, block
+table, captured tokens, and the marker window — including through the
+recovery paths (pugz salvage around deliberately smashed blocks).  The
+decoders pick the path by buffer size alone, so the tests force each
+path by patching :data:`repro.deflate.npkernel.MIN_PAYLOAD_BYTES`: 0
+sends even these small streams through the kernel, a huge value keeps
+them on the pure loops.
 
 ~50 streams: 10 seeds x 5 stream shapes (stored blocks, fixed-Huffman,
 dynamic at two levels, sync-flush seams), over random-DNA and
@@ -37,6 +41,7 @@ import pytest
 
 from repro.core.marker_inflate import marker_inflate
 from repro.core.pugz import pugz_decompress_payload
+from repro.deflate import npkernel
 from repro.deflate.inflate import inflate
 
 SEEDS = range(10)
@@ -122,6 +127,16 @@ def test_differential_decode(seed: int, shape: str):
     ]
 
 
+#: Size-gate values that force each decode path (see module docstring).
+PATHS = {"pure": 1 << 62, "numpy": 0}
+
+
+def _on_path(monkeypatch, path: str, fn, *args, **kwargs):
+    """Call ``fn`` with the size gate pinned so ``path`` decodes."""
+    monkeypatch.setattr(npkernel, "MIN_PAYLOAD_BYTES", PATHS[path])
+    return fn(*args, **kwargs)
+
+
 def _block_tuples(blocks):
     return [
         (b.start_bit, b.end_bit, b.out_start, b.out_end, b.btype, b.bfinal)
@@ -131,35 +146,34 @@ def _block_tuples(blocks):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
-def test_kernel_differential(seed: int, shape: str):
-    """The vectorized kernel is bit-for-bit equal to the pure one.
+def test_kernel_differential(seed: int, shape: str, monkeypatch):
+    """The vectorized kernel is bit-for-bit equal to the pure loops.
 
     Covers both domains: byte-output ``inflate`` (with and without
     token capture) and marker-domain ``marker_inflate`` from an
-    undetermined context.  The explicit ``kernel="numpy"`` argument
-    bypasses the auto-selection size gate, so the small fuzz streams
-    genuinely exercise the vectorized path.
+    undetermined context.  A zero size gate sends the small fuzz
+    streams through the vectorized path.
     """
     text = make_text(seed)
     payload = compress_shape(text, shape)
     reference = zlib.decompress(payload, -15)
 
-    p = inflate(payload, kernel="pure")
-    n = inflate(payload, kernel="numpy")
+    p = _on_path(monkeypatch, "pure", inflate, payload)
+    n = _on_path(monkeypatch, "numpy", inflate, payload)
     assert n.data == p.data == reference
     assert n.end_bit == p.end_bit
     assert n.final_seen == p.final_seen
     assert _block_tuples(n.blocks) == _block_tuples(p.blocks)
 
-    pt = inflate(payload, capture_tokens=True, kernel="pure")
-    nt = inflate(payload, capture_tokens=True, kernel="numpy")
+    pt = _on_path(monkeypatch, "pure", inflate, payload, capture_tokens=True)
+    nt = _on_path(monkeypatch, "numpy", inflate, payload, capture_tokens=True)
     assert nt.data == pt.data == reference
     assert nt.end_bit == pt.end_bit
     assert np.array_equal(nt.tokens.offsets(), pt.tokens.offsets())
     assert np.array_equal(nt.tokens.values(), pt.tokens.values())
 
-    mp = marker_inflate(payload, kernel="pure")
-    mn = marker_inflate(payload, kernel="numpy")
+    mp = _on_path(monkeypatch, "pure", marker_inflate, payload)
+    mn = _on_path(monkeypatch, "numpy", marker_inflate, payload)
     assert np.array_equal(mn.symbols, mp.symbols)
     assert mn.end_bit == mp.end_bit
     assert mn.final_seen == mp.final_seen
@@ -169,12 +183,12 @@ def test_kernel_differential(seed: int, shape: str):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_kernel_differential_recovery(seed: int):
-    """Recovery paths agree between kernels on corrupted streams.
+def test_kernel_differential_recovery(seed: int, monkeypatch):
+    """Recovery paths agree between decode paths on corrupted streams.
 
     Each seeded stream gets one block header smashed mid-stream; pugz
     in recover mode must salvage the identical output, hole table, and
-    per-chunk outcomes under both kernels.
+    per-chunk outcomes on both paths.
     """
     text = make_text(seed, n=60_000)
     payload = compress_shape(text, "sync_flush")
@@ -192,9 +206,10 @@ def test_kernel_differential_recovery(seed: int):
         from repro.core.pugz import PugzReport
 
         report = PugzReport(n_chunks_requested=3)
-        out = pugz_decompress_payload(
+        out = _on_path(
+            monkeypatch, k, pugz_decompress_payload,
             bad, 0, 8 * len(bad), n_chunks=3, report=report,
-            on_error="recover", kernel=k,
+            on_error="recover",
         )
         results[k] = (
             out,
@@ -203,3 +218,30 @@ def test_kernel_differential_recovery(seed: int):
             report.unresolved_markers,
         )
     assert results["pure"] == results["numpy"]
+
+
+def test_kernel_differential_budget_error(monkeypatch):
+    """A zip bomb past the first block fails identically on both paths.
+
+    The pure loop names the absolute output size and the budget's cap;
+    the vectorized path must hand the crossing block to it with the
+    whole history, not a window-relative one, so the message matches.
+    """
+    from repro.errors import ResourceLimitError
+    from repro.robustness.limits import ResourceBudget
+
+    rng = np.random.default_rng(2)
+    text = bytes(rng.choice(np.frombuffer(b"ACGT", np.uint8), 400_000)) + b"A" * 2_000_000
+    co = zlib.compressobj(6, zlib.DEFLATED, -15)
+    payload = co.compress(text) + co.flush()
+
+    errors = {}
+    for path in PATHS:
+        with pytest.raises(ResourceLimitError) as info:
+            _on_path(
+                monkeypatch, path, inflate, payload,
+                budget=ResourceBudget(max_output_bytes=1_000_000),
+            )
+        errors[path] = (str(info.value), info.value.bit_offset)
+    assert errors["pure"] == errors["numpy"]
+    assert "past the 1000000-byte resource budget" in errors["numpy"][0]

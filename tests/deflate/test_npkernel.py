@@ -4,7 +4,7 @@ The differential fuzz suite proves whole-stream equivalence; these
 tests pin the pieces in isolation: the LZ77 replay (tiled pointer
 jumping, overlap folding, window seeding, marker transparency), the
 per-block token decoder's guard rails (``max_out``, int32 bounds), and
-the kernel-selection precedence of :mod:`repro.perf.kernels`.
+the buffer-size gate that decides which decodes reach the kernel.
 """
 
 from __future__ import annotations
@@ -15,14 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core import marker
+from repro.deflate import npkernel
 from repro.deflate.bitio import BitReader
 from repro.deflate.inflate import inflate, read_block_header
-from repro.perf import npkernel
-from repro.perf.kernels import (
-    KernelSpec,
-    MIN_AUTO_NUMPY_BYTES,
-    resolve_kernel,
-)
+from repro.errors import ReproError
 from repro.units import BitOffset
 
 
@@ -164,7 +160,7 @@ def _first_block(payload):
     return reader.tell_bits(), header
 
 
-def test_decode_block_tokens_match_pure_capture():
+def test_decode_block_tokens_match_pure_capture(monkeypatch):
     rng = np.random.default_rng(7)
     text = bytes(rng.choice(np.frombuffer(b"ACGT", np.uint8), 40_000))
     co = zlib.compressobj(6, zlib.DEFLATED, -15)
@@ -174,7 +170,8 @@ def test_decode_block_tokens_match_pure_capture():
     kern = npkernel.StreamKernel(payload)
     offs, vals, _fp, end_bit = kern.decode_block(h_bit, header.litlen, header.dist)
 
-    ref = inflate(payload, capture_tokens=True, max_blocks=1, kernel="pure")
+    monkeypatch.setattr(npkernel, "MIN_PAYLOAD_BYTES", 1 << 62)
+    ref = inflate(payload, capture_tokens=True, max_blocks=1)
     assert np.array_equal(offs, ref.tokens.offsets())
     assert np.array_equal(vals, ref.tokens.values())
     assert end_bit == ref.blocks[0].end_bit
@@ -207,50 +204,71 @@ def test_decode_block_huge_max_out_disabled():
 
 
 # ---------------------------------------------------------------------------
-# kernel selection
+# size gate
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_explicit_argument_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
-    spec = resolve_kernel("pure")
-    assert spec.name == "pure" and spec.source == "arg"
-    assert not spec.use_vectorized(1 << 30)
+def _count_decode_blocks(monkeypatch) -> list[int]:
+    """Count :meth:`StreamKernel.decode_block` calls from here on."""
+    calls = [0]
+    real = npkernel.StreamKernel.decode_block
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(npkernel.StreamKernel, "decode_block", counting)
+    return calls
 
 
-def test_resolve_env_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "pure")
-    spec = resolve_kernel(None)
-    assert spec.name == "pure" and spec.source == "env"
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
-    spec = resolve_kernel(None)
-    assert spec.name == "numpy" and spec.source == "env"
-    # Env selection is explicit: no size gate.
-    assert spec.use_vectorized(16)
+def _dna_payload(n: int, seed: int) -> tuple[bytes, bytes]:
+    rng = np.random.default_rng(seed)
+    text = bytes(rng.choice(np.frombuffer(b"ACGT", np.uint8), n))
+    co = zlib.compressobj(6, zlib.DEFLATED, -15)
+    return text, co.compress(text) + co.flush()
 
 
 def test_resolve_auto_size_gate(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    spec = resolve_kernel(None)
-    assert spec.source == "auto"
-    if spec.vectorized:
-        assert not spec.use_vectorized(MIN_AUTO_NUMPY_BYTES - 1)
-        assert spec.use_vectorized(MIN_AUTO_NUMPY_BYTES)
+    # Buffers below MIN_PAYLOAD_BYTES stay on the pure loops; at the
+    # threshold every compressed block is offered to the kernel.
+    calls = _count_decode_blocks(monkeypatch)
+    text, payload = _dna_payload(20_000, 10)
+    assert len(payload) < npkernel.MIN_PAYLOAD_BYTES
+    assert inflate(payload).data == text
+    assert calls[0] == 0
+    monkeypatch.setattr(npkernel, "MIN_PAYLOAD_BYTES", len(payload))
+    assert inflate(payload).data == text
+    assert calls[0] == 1
 
 
-def test_resolve_unknown_name_raises():
-    with pytest.raises(ValueError, match="unknown decode kernel"):
-        resolve_kernel("simd")
-
-
-def test_resolve_spec_passthrough():
-    spec = KernelSpec("pure", vectorized=False, source="arg")
-    assert resolve_kernel(spec) is spec
-
-
-def test_explicit_numpy_honored_on_tiny_stream():
-    # The fuzz suite relies on this: a 100-byte stream still runs the
-    # vectorized path when asked explicitly.
+def test_explicit_numpy_honored_on_tiny_stream(monkeypatch):
+    # The fuzz suite relies on this seam: with a zero size gate a
+    # 100-byte stream still runs the vectorized path.
+    calls = _count_decode_blocks(monkeypatch)
+    monkeypatch.setattr(npkernel, "MIN_PAYLOAD_BYTES", 0)
     payload = zlib.compress(b"ACGT" * 25, 6)[2:-4]
-    res = inflate(payload, kernel="numpy")
+    res = inflate(payload)
     assert res.data == b"ACGT" * 25
+    assert calls[0] == 1
+
+
+class _NoKernel(Exception):
+    pass
+
+
+def test_strict_inflate_never_builds_a_kernel(monkeypatch):
+    # Sync probes decode strictly; they must not pay for a kernel even
+    # on buffers above the size gate.
+    def refuse(data):
+        raise _NoKernel
+
+    monkeypatch.setattr(npkernel, "StreamKernel", refuse)
+    text, payload = _dna_payload(400_000, 11)
+    assert len(payload) >= npkernel.MIN_PAYLOAD_BYTES
+    for bit in (0, 3, 8 * (len(payload) // 2)):
+        try:
+            inflate(payload, start_bit=BitOffset(bit), strict=True, max_blocks=2)
+        except ReproError:
+            pass
+    with pytest.raises(_NoKernel):
+        inflate(payload)

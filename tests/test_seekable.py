@@ -10,6 +10,9 @@ differential over the 50-stream fuzz corpus.
 
 import gzip as stdlib_gzip
 import io
+import random
+import sys
+import threading
 import zlib
 
 import pytest
@@ -254,6 +257,41 @@ class TestSources:
             assert not fh.closed
             fh.seek(0)
             assert fh.read(2) == gz[:2]
+
+    @pytest.mark.parametrize("kind", ["path", "borrowed_file"])
+    def test_concurrent_preads_return_the_right_bytes(self, tmp_path, kind):
+        # A shared handle's seek + read pair is not atomic: without
+        # os.pread (paths) or a lock (borrowed files) another thread's
+        # seek lands between them and a read returns the wrong range.
+        blob = random.Random(5).randbytes(1 << 16)
+        path = tmp_path / "blob.bin"
+        path.write_bytes(blob)
+        fh = open(path, "rb") if kind == "borrowed_file" else None
+        src = ByteSource(str(path) if fh is None else fh)
+        wrong = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(2000):
+                off = rng.randrange(len(blob) - 64)
+                if src.pread(off, 64) != blob[off : off + 64]:
+                    wrong.append(off)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            src.close()
+            if fh is not None:
+                fh.close()
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_bgzf_from_path(self, tmp_path, text):
         path = tmp_path / "reads.bgzf"
